@@ -20,6 +20,10 @@ final case class EnsemParams(
     maxBlocks: Int = 30,
     truncate: Boolean = true,
     seed: Long = 42L) {
+  require(n >= 1, s"n must be >= 1, got $n")
+  require(s > 0.0 && s <= 1.0, s"s must be in (0, 1], got $s")
+  require(t >= 1, s"t must be >= 1, got $t")
+  require(maxBlocks >= 1, s"maxBlocks must be >= 1, got $maxBlocks")
 
   /** R = S × N, the repetition rate (Table II). */
   def repetitionRate: Double = s * n
@@ -52,7 +56,7 @@ object EnsemFdet {
         val r = Fdet.run(
           es,
           maxBlocks = p.maxBlocks,
-          elbowPatience = if (p.truncate) Some(3) else None)
+          elbowPatience = if (p.truncate) Some(Fdet.ElbowPatience) else None)
         val us = r.userSet(p.truncate)
         val vs = r.merchantSet(p.truncate)
         us.iterator.map(id => ("u", id)) ++ vs.iterator.map(id => ("v", id))

@@ -30,6 +30,11 @@ final case class FdetResult(
   */
 object Fdet {
 
+  /** Blocks detected past a stable elbow k̂ before detection stops. The
+    * paper states no lookahead; 3 is this reproduction's choice.
+    */
+  val ElbowPatience = 3
+
   /** Run FDET on an edge list.
     *
     * @param edges             (user, merchant) pairs; duplicates collapsed
@@ -42,24 +47,20 @@ object Fdet {
   def run(
       edges: Array[(Long, Long)],
       maxBlocks: Int = 30,
-      elbowPatience: Option[Int] = Some(3)): FdetResult = {
+      elbowPatience: Option[Int] = Some(ElbowPatience)): FdetResult = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
     var current = edges
     val blocks = Vector.newBuilder[Peeling.Block]
-    val scores = Vector.newBuilder[Double]
-    var scoresSoFar = Vector.empty[Double]
+    var scores = Vector.empty[Double]
     var done = false
-    var nBlocks = 0
-    while (!done && nBlocks < maxBlocks && current.nonEmpty) {
+    while (!done && scores.length < maxBlocks && current.nonEmpty) {
       val g = LocalGraph.fromEdges(current)
       // Weights are recomputed on the *current* graph: each round is "compute
       // the densest subgraph in the current graph G" (Section IV-B).
       val w = DensityMetric.merchantWeights(g)
       val b = Peeling.densestBlock(g, w)
       blocks += b
-      scores += b.score
-      scoresSoFar :+= b.score
-      nBlocks += 1
+      scores :+= b.score
 
       val us = b.uIds.toSet
       val vs = b.vIds.toSet
@@ -69,12 +70,10 @@ object Fdet {
       current = if (next.length == current.length) Array.empty else next
 
       elbowPatience.foreach { p =>
-        val kh = truncationPoint(scoresSoFar)
-        if (nBlocks >= kh + p) done = true
+        if (scores.length >= truncationPoint(scores) + p) done = true
       }
     }
-    val s = scores.result()
-    FdetResult(blocks.result(), s, truncationPoint(s))
+    FdetResult(blocks.result(), scores, truncationPoint(scores))
   }
 
   /** Definition 3: k̂ = argmin_i Δ²φ(G(S_i)) with

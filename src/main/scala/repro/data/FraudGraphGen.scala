@@ -99,8 +99,8 @@ object FraudGraphGen {
   val all: Seq[FraudSpec] = Seq(Jd1, Jd2, Jd3)
 
   /** Zipf-like merchant id in [1, n], low ids popular: inverse CDF of the
-    * truncated Pareto density p(k) ∝ k^(−α) on [1, n], α > 1. Unlike the
-    * cruder draw in SynthData.zipfKeys this gives the proper head mass
+    * truncated Pareto density p(k) ∝ k^(−α) on [1, n], α > 1. Unlike a
+    * rank-weight draw truncated at 10^4 keys this gives the proper head mass
     * (P(k = 1) ≈ (α − 1)/α·(1 − n^(1−α))^(−1) ≈ 14% at α = 1.1), so the most
     * popular shop is a heavy hub but not the whole graph.
     */
@@ -115,7 +115,7 @@ object FraudGraphGen {
           .cast(LongType)))
   }
 
-  /** The simple (deduplicated) 'who buy-from where' edge set (u, v). */
+  /** The simple 'who buy-from where' edge set (u, v): each pair at most once. */
   def edges(spark: SparkSession, spec: FraudSpec): DataFrame = {
     val s = spec.seed
 

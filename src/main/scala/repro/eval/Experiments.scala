@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
 import repro.baselines.{FBox, Fraudar, Spoken}
 import repro.core.{EnsemFdet, EnsemParams, Fdet, SampleMethod, Sampling}
 import repro.data.{FraudGraphGen, FraudSpec}
@@ -24,18 +24,14 @@ object Experiments {
     * counts are nodes that actually appear in the graph.
     */
   def tableI(spark: SparkSession, sf: Double = DefaultSf): Seq[DatasetStats] =
-    FraudGraphGen.all.map { spec0 =>
-      val spec = spec0.scaled(sf)
-      val e = FraudGraphGen.edges(spark, spec).cache()
-      val stats = DatasetStats(
+    FraudGraphGen.all.map(_.scaled(sf)).map(spec => withEdges(spark, spec) { e =>
+      DatasetStats(
         spec.name,
         pins = e.select("u").distinct().count(),
         fraudPins = FraudGraphGen.blacklist(spark, spec).count(),
         merchants = e.select("v").distinct().count(),
         edges = e.count())
-      e.unpersist()
-      stats
-    }
+    })
 
   def renderTableI(rows: Seq[DatasetStats]): String =
     table(
@@ -64,10 +60,8 @@ object Experiments {
       s: Double = 0.1,
       kFraudar: Int = 30,
       reps: Int = 3): Seq[TimingRow] =
-    FraudGraphGen.all.map { spec0 =>
-      val spec = spec0.scaled(sf)
-      val edges = FraudGraphGen.edges(spark, spec).cache()
-      edges.count() // materialize: generation cost billed to neither method
+    // withEdges materializes the graph: generation is billed to neither method.
+    FraudGraphGen.all.map(_.scaled(sf)).map(spec => withEdges(spark, spec) { edges =>
       val p = EnsemParams(SampleMethod.RES, n = n, s = s, t = 1, seed = spec.seed)
 
       def ensemOnce(nRun: Int): Long =
@@ -79,9 +73,8 @@ object Experiments {
       Fraudar.run(local, 3) // warm-up (JIT)
       val fraudarSec = Timer.medianSec(reps)(Fraudar.run(local, kFraudar))
 
-      edges.unpersist()
       TimingRow(spec.name, ensemSec, fraudarSec)
-    }
+    })
 
   def renderTableIII(rows: Seq[TimingRow]): String =
     table(
@@ -103,10 +96,7 @@ object Experiments {
       sf: Double = DefaultSf,
       n: Int = 80,
       s: Double = 0.1): Seq[MethodRow] =
-    FraudGraphGen.all.flatMap { spec0 =>
-      val spec = spec0.scaled(sf)
-      val edges = FraudGraphGen.edges(spark, spec).cache()
-      edges.count()
+    FraudGraphGen.all.map(_.scaled(sf)).flatMap(spec => withEdges(spark, spec) { edges =>
       val black = blacklistSet(spark, spec)
       val local = Fraudar.collectEdges(edges)
 
@@ -122,13 +112,12 @@ object Experiments {
       val spoken = Metrics.scoreSweep(Spoken.userScores(local), black)
       val fbox = Metrics.scoreSweep(FBox.userScores(local), black)
 
-      edges.unpersist()
       Seq(
         MethodRow(spec.name, "EnsemFDet", Metrics.bestF1(ensem)),
         MethodRow(spec.name, "FRAUDAR", Metrics.bestF1(fraudar)),
         MethodRow(spec.name, "SPOKEN", Metrics.bestF1(spoken)),
         MethodRow(spec.name, "FBOX", Metrics.bestF1(fbox)))
-    }
+    })
 
   def renderMethodRows(rows: Seq[MethodRow]): String =
     table(
@@ -148,17 +137,15 @@ object Experiments {
       n: Int = 80,
       s: Double = 0.1): Seq[MethodRow] = {
     val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val rows = SampleMethod.all.map { m =>
-      val votes = EnsemFdet.votes(
-        spark, edges, EnsemParams(m, n = n, s = s, seed = spec.seed))
-      val sweep = Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
-      MethodRow(spec.name, m.name, Metrics.bestF1(sweep))
+    withEdges(spark, spec) { edges =>
+      val black = blacklistSet(spark, spec)
+      SampleMethod.all.map { m =>
+        val votes = EnsemFdet.votes(
+          spark, edges, EnsemParams(m, n = n, s = s, seed = spec.seed))
+        val sweep = Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+        MethodRow(spec.name, m.name, Metrics.bestF1(sweep))
+      }
     }
-    edges.unpersist()
-    rows
   }
 
   // --------------------------------------------- Figure 6: truncation vs FIX-K
@@ -177,29 +164,29 @@ object Experiments {
       s: Double = 0.1,
       fixK: Int = 30): Seq[TruncationRow] = {
     val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
+    val p = EnsemParams(SampleMethod.RES, n = n, s = s, maxBlocks = fixK, seed = spec.seed)
+    withEdges(spark, spec) { edges =>
+      val black = blacklistSet(spark, spec)
 
-    def sweep(truncate: Boolean) = {
-      val votes = EnsemFdet.votes(spark, edges,
-        EnsemParams(SampleMethod.RES, n = n, s = s, truncate = truncate,
-          maxBlocks = fixK, seed = spec.seed))
-      Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+      def sweep(truncate: Boolean) = {
+        val votes = EnsemFdet.votes(spark, edges, p.copy(truncate = truncate))
+        Metrics.voteSweep(Metrics.collectUserVotes(votes), black)
+      }
+
+      // k̂ of the first five samples that vote in the truncated run, recomputed
+      // driver-side from the same sampler.
+      val kHats = Sampling(p.method, edges, p.n, p.s, p.seed)
+        .where(F.col("sid") < 5)
+        .select("sid", "u", "v").collect()
+        .groupBy(_.getInt(0)).toSeq.sortBy(_._1)
+        .map { case (_, rows) =>
+          Fdet.run(rows.map(r => (r.getLong(1), r.getLong(2))), maxBlocks = p.maxBlocks).kHat
+        }
+
+      Seq(
+        TruncationRow("EnsemFDet (truncated)", Metrics.bestF1(sweep(truncate = true)), kHats),
+        TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", Metrics.bestF1(sweep(truncate = false)), Seq.empty))
     }
-
-    // k̂ of a handful of samples, recomputed driver-side for reporting.
-    val kHats = (0 until 5).map { i =>
-      val sample = Sampling.res(edges, 1, s, spec.seed + 100 + i)
-      val es = sample.select("u", "v").collect().map(r => (r.getLong(0), r.getLong(1)))
-      Fdet.run(es, maxBlocks = fixK).kHat
-    }
-
-    val rows = Seq(
-      TruncationRow("EnsemFDet (truncated)", Metrics.bestF1(sweep(truncate = true)), kHats),
-      TruncationRow(s"EnsemFDet-FIX-K (k=$fixK)", Metrics.bestF1(sweep(truncate = false)), Seq.empty))
-    edges.unpersist()
-    rows
   }
 
   def renderTruncationRows(rows: Seq[TruncationRow]): String =
@@ -233,15 +220,13 @@ object Experiments {
   private def sweepOn(
       spark: SparkSession, sf: Double, cases: Seq[(String, EnsemParams)]): Seq[SweepRow] = {
     val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val rows = cases.map { case (label, p0) =>
-      val votes = EnsemFdet.votes(spark, edges, p0.copy(seed = spec.seed))
-      SweepRow(label, Metrics.bestF1(Metrics.voteSweep(Metrics.collectUserVotes(votes), black)))
+    withEdges(spark, spec) { edges =>
+      val black = blacklistSet(spark, spec)
+      cases.map { case (label, p0) =>
+        val votes = EnsemFdet.votes(spark, edges, p0.copy(seed = spec.seed))
+        SweepRow(label, Metrics.bestF1(Metrics.voteSweep(Metrics.collectUserVotes(votes), black)))
+      }
     }
-    edges.unpersist()
-    rows
   }
 
   final case class TRow(t: Long, prf: Prf)
@@ -255,13 +240,11 @@ object Experiments {
       n: Int = 80,
       s: Double = 0.1): Seq[TRow] = {
     val spec = FraudGraphGen.Jd3.scaled(sf)
-    val edges = FraudGraphGen.edges(spark, spec).cache()
-    edges.count()
-    val black = blacklistSet(spark, spec)
-    val votes = Metrics.collectUserVotes(EnsemFdet.votes(
-      spark, edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = spec.seed)))
-    edges.unpersist()
-    Metrics.voteSweep(votes, black).map(p => TRow(p.threshold.toLong, p.prf))
+    val votes = withEdges(spark, spec) { edges =>
+      Metrics.collectUserVotes(EnsemFdet.votes(
+        spark, edges, EnsemParams(SampleMethod.RES, n = n, s = s, seed = spec.seed)))
+    }
+    Metrics.voteSweep(votes, blacklistSet(spark, spec)).map(p => TRow(p.threshold.toLong, p.prf))
   }
 
   def renderSweepRows(header: String, rows: Seq[SweepRow]): String =
@@ -278,6 +261,17 @@ object Experiments {
         f"${r.prf.precision}%.3f", f"${r.prf.recall}%.3f", f"${r.prf.f1}%.3f")))
 
   // ------------------------------------------------------------------ misc
+
+  /** Run `f` on the spec's edge frame, cached and materialized; the cache is
+    * dropped when `f` returns or throws.
+    */
+  private def withEdges[A](spark: SparkSession, spec: FraudSpec)(f: DataFrame => A): A = {
+    val edges = FraudGraphGen.edges(spark, spec).cache()
+    try {
+      edges.count()
+      f(edges)
+    } finally edges.unpersist()
+  }
 
   def blacklistSet(spark: SparkSession, spec: FraudSpec): Set[Long] =
     FraudGraphGen.blacklist(spark, spec).collect().map(_.getLong(0)).toSet

@@ -21,15 +21,7 @@ object Metrics {
   /** One operating point on a PR curve. */
   final case class PrPoint(threshold: Double, prf: Prf)
 
-  /** DataFrame path: `detected` and `blacklist` are one-column ("u") frames. */
-  def prf(detected: DataFrame, blacklist: DataFrame): Prf = {
-    val d = detected.select("u").distinct()
-    val b = blacklist.select("u").distinct()
-    val tp = d.join(b, "u").count()
-    Prf(tp, d.count() - tp, b.count() - tp)
-  }
-
-  /** Local path for driver-side detections. */
+  /** Confusion counts of a driver-side detected set against the blacklist. */
   def prfLocal(detected: Set[Long], blacklist: Set[Long]): Prf = {
     val tp = detected.count(blacklist)
     Prf(tp, detected.size - tp, blacklist.size - tp)

@@ -39,6 +39,12 @@ class FBoxSpec extends AnyFunSuite {
     assert(FBox.userScores(es, k = 2).map(_._1).toSet == es.map(_._1).toSet)
   }
 
+  test("duplicate edges do not change the scores") {
+    // ‖a_u‖² is the degree of a 0/1 row: a repeated purchase is one edge.
+    val es = TestGraphs.block(0, 10, 100, 5)
+    assert(FBox.userScores(es ++ es) == FBox.userScores(es))
+  }
+
   test("deterministic for a fixed seed") {
     val es = TestGraphs.block(0, 8, 100, 4) ++ TestGraphs.pairs(50, 200, 10)
     assert(FBox.userScores(es, k = 3) == FBox.userScores(es, k = 3))

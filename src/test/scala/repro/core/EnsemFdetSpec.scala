@@ -96,6 +96,17 @@ class EnsemFdetSpec extends SparkSpec {
     assert(math.abs(params.repetitionRate - 15.0) < 1e-12)
   }
 
+  test("EnsemParams rejects out-of-range n, s, t and maxBlocks") {
+    val invalid: Seq[() => EnsemParams] = Seq(
+      () => EnsemParams(n = 0),
+      () => EnsemParams(s = 0.0),
+      () => EnsemParams(s = 1.5),
+      () => EnsemParams(t = 0),
+      () => EnsemParams(maxBlocks = 0))
+    invalid.foreach(p => assertThrows[IllegalArgumentException](p()))
+    assert(EnsemParams(n = 1, s = 1.0, t = 1, maxBlocks = 1).repetitionRate == 1.0)
+  }
+
   test("works with every sampling method on the planted graph") {
     val black = ring1Users ++ ring2Users
     SampleMethod.all.foreach { m =>

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{functions => F}
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 
 class FraudGraphGenSpec extends SparkSpec {
 
@@ -137,11 +137,5 @@ class FraudGraphGenSpec extends SparkSpec {
     // P(k=1) = (1 - 2^(1-a)) / (1 - n^(1-a)) ≈ 0.134 at a=1.1, n=1000
     val expected = (1 - math.pow(2, -0.1)) / (1 - math.pow(n.toDouble, -0.1))
     assert(math.abs(p1 - expected) < 0.03, s"p1=$p1 expected=$expected")
-  }
-
-  test("SynthData.whoBuysWhere exposes the generator with (u, v) columns") {
-    val df = SynthData.whoBuysWhere(spark, sf = 0.1)
-    assert(df.columns.toSeq == Seq("u", "v"))
-    assert(df.count() > 100)
   }
 }

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.core.{Fdet, SampleMethod, Sampling}
 import repro.data.FraudGraphGen
 
 /** Integration smoke of every experiment harness at sf=0.1 (the full-scale
@@ -69,6 +70,16 @@ class ExperimentsSpec extends SparkSpec {
     assert(rows.head.blocksPerSample.nonEmpty)
     assert(rows.head.blocksPerSample.forall(k => k >= 1 && k <= 10))
     assert(Experiments.renderTruncationRows(rows).contains("k̂ per sample"))
+
+    // The reported k̂ belong to sids 0-4 of the sampler that voted.
+    val spec = FraudGraphGen.Jd3.scaled(sf)
+    val sampled = Sampling(SampleMethod.RES, FraudGraphGen.edges(spark, spec), 10, 0.2, spec.seed)
+      .select("sid", "u", "v").collect()
+    val expected = (0 until 5).map { sid =>
+      val es = sampled.filter(_.getInt(0) == sid).map(r => (r.getLong(1), r.getLong(2)))
+      Fdet.run(es, maxBlocks = 10).kHat
+    }
+    assert(rows.head.blocksPerSample == expected)
   }
 
   test("sweepN returns a row per N") {
